@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzMatch -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzServerCommand -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzRouteCommand -fuzztime $(FUZZTIME) ./internal/broker
+	$(GO) test -run NONE -fuzz FuzzClientRead -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/ann
 	$(GO) test -run NONE -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/netem/chaos
 	$(GO) test -run NONE -fuzz FuzzShardedKernel -fuzztime $(FUZZTIME) ./internal/netem/chaos
@@ -66,14 +67,16 @@ bench-sim:
 	$(GO) test -bench . -benchmem -benchtime 2x -run NONE ./internal/sim/bench/
 	$(GO) run ./cmd/adamant-bench -sim -shard-workers 1,2,4,8 -shard-groups 50,200,500,1000 -out BENCH_sim.json
 
-# bench-broker asserts the zero-alloc publish and delivery paths, the
+# bench-broker asserts the zero-alloc publish and delivery paths (the
+# client's receive path and payload ownership included), the
 # wire byte-identity of the vectored data plane, and the >=2x
 # routing+delivery speedup over the seed broker at 10k subscriptions,
 # then regenerates BENCH_broker.json: the open-loop load-latency curve
 # (offered rate walked to the saturation knee on both data planes) plus
 # the fan-out sweep (group size x payload size) and the seed comparison.
 bench-broker:
-	$(GO) test -run 'TestPublishZeroAlloc|TestDeliveryAllocs|TestWireByteIdentityAcrossDataPlanes|TestFanoutSpeedup' -v ./internal/broker/...
+	$(GO) test -run 'TestPublishZeroAlloc|TestClientDeliveryAllocs|TestClientMsgOwnership|TestDeliveryAllocs|TestWireByteIdentityAcrossDataPlanes|TestFanoutSpeedup' -v ./internal/broker/...
+	$(GO) test -bench 'BenchmarkClient' -benchmem -run NONE ./internal/broker/
 	$(GO) test -bench 'BenchmarkFanout' -benchtime 200x -run NONE ./internal/broker/bench/
 	$(GO) run ./cmd/adamant-fleet -compare -ll -out BENCH_broker.json -v
 

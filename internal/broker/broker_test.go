@@ -2,8 +2,11 @@ package broker_test
 
 import (
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -389,5 +392,41 @@ func TestConcurrentPublishers(t *testing.T) {
 	}
 	if n.Load() != pubs*each {
 		t.Errorf("received %d, want %d", n.Load(), pubs*each)
+	}
+}
+
+// flakyListener fails its first fails Accept calls with a synthetic
+// EMFILE, the way a process out of descriptors sees them.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(),
+			Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeSurvivesTransientAcceptErrors: a listener that runs out of
+// descriptors for a moment keeps serving once they are back.
+func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &flakyListener{Listener: inner}
+	ln.fails.Store(2)
+	srv := broker.NewServer()
+	go srv.Serve(ln)
+	t.Cleanup(srv.Shutdown)
+	c := dial(t, inner.Addr().String())
+	if err := c.Flush(5 * time.Second); err != nil {
+		t.Fatalf("Flush through a listener that saw EMFILE twice: %v", err)
+	}
+	if n := ln.fails.Load(); n >= 0 {
+		t.Fatalf("the stub still has %d synthetic errors to return", n+1)
 	}
 }

@@ -2,7 +2,9 @@ package broker
 
 import (
 	"bytes"
+	"io"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -149,6 +151,101 @@ func FuzzValidatePattern(f *testing.F) {
 		patErr := ValidatePattern(s)
 		if subErr == nil && patErr != nil {
 			t.Fatalf("%q is a valid subject but invalid pattern: %v", s, patErr)
+		}
+	})
+}
+
+// FuzzClientRead feeds arbitrary server bytes to a Client's reader. Every
+// delivery must match what an independent parse of the input announces
+// (sid, subject, and payload of exactly the announced length), and the
+// reader must stop at a malformed size, a missing payload terminator or
+// an over-long line without waiting for the peer to hang up.
+func FuzzClientRead(f *testing.F) {
+	f.Add([]byte("MSG a 1 3\r\nabc\r\nPONG\r\n"))
+	f.Add([]byte("MSG a.b 2 0\r\n\r\nMSG a.b 1 2\nhi\n"))
+	f.Add([]byte("MSG a 1 x\r\nMSG a 1 1\r\nq\r\n"))        // malformed size
+	f.Add([]byte("MSG a 1 1048577\r\n"))                    // over MaxPayload
+	f.Add([]byte("MSG a 1 2\r\nhiX\r\n"))                   // bad terminator
+	f.Add([]byte("MSG a 3 2\r\nno\r\nMSG b 2 2\r\nok\r\n")) // unknown sid skipped
+	f.Add([]byte("-ERR bad\r\nMSG a 1\r\n\t MSG \t c 2  4 \r\nfour\r\n"))
+	f.Add([]byte("MSG a 1 5\r\nshort")) // truncated payload
+	f.Fuzz(func(t *testing.T, data []byte) {
+		conn, peer := net.Pipe()
+		c, err := NewClient(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		go io.Copy(io.Discard, peer)
+		type delivery struct{ sid, subject, data string }
+		var got []delivery
+		for _, sid := range []string{"1", "2"} {
+			if _, err := c.Subscribe("a", func(m Msg) {
+				got = append(got, delivery{sid, m.Subject, string(m.Data)})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want []delivery
+		stopped := false // the input breaks framing: the reader must quit
+		for rest := data; ; {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			if i+1 > MaxPayload {
+				stopped = true
+				break
+			}
+			line := bytes.TrimSuffix(rest[:i], []byte("\r"))
+			rest = rest[i+1:]
+			f := bytes.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' })
+			if len(f) != 4 || string(f[0]) != "MSG" {
+				continue
+			}
+			n, err := strconv.Atoi(string(f[3]))
+			if len(f[3]) > 8 || bytes.ContainsAny(f[3], "+-") || err != nil || n > MaxPayload {
+				stopped = true
+				break
+			}
+			if len(rest) < n+1 {
+				break
+			}
+			payload := rest[:n]
+			rest = rest[n:]
+			if rest[0] == '\r' {
+				rest = rest[1:]
+			}
+			if len(rest) == 0 {
+				break
+			}
+			if rest[0] != '\n' {
+				stopped = true
+				break
+			}
+			rest = rest[1:]
+			if sid := string(f[2]); sid == "1" || sid == "2" {
+				want = append(want, delivery{sid, string(f[1]), string(payload)})
+			}
+		}
+		peer.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		peer.Write(data)
+		if !stopped {
+			peer.Close()
+		}
+		select {
+		case <-c.done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reader still running (malformed input: %v)", stopped)
+		}
+		peer.Close()
+		if len(got) != len(want) {
+			t.Fatalf("%d deliveries, the input announces %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("delivery %d = %q, the input announces %q", i, got[i], want[i])
+			}
 		}
 	})
 }

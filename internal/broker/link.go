@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"strconv"
 )
@@ -119,13 +120,24 @@ func (l *link) completeLineBuffered() bool {
 
 // readLineSlice returns the next CRLF- (or LF-) terminated line without
 // the terminator. The slice borrows the reader's buffer and is only
-// valid until the next read; over-long lines fall back to copying.
-func readLineSlice(r *bufio.Reader) ([]byte, error) {
+// valid until the next read; a line longer than the buffer is copied,
+// and one of more than limit bytes (terminator included) is an error.
+// limit must be at least the reader's buffer size.
+func readLineSlice(r *bufio.Reader, limit int) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		buf := append([]byte(nil), line...)
+		// Grow by doubling up to limit, so a line that hits the cap has
+		// cost under 2*limit bytes of allocation.
+		buf := append(make([]byte, 0, min(2*len(line), limit)), line...)
 		for err == bufio.ErrBufferFull {
 			line, err = r.ReadSlice('\n')
+			n := len(buf) + len(line)
+			if n > limit {
+				return nil, errLineTooLong
+			}
+			if n > cap(buf) {
+				buf = append(make([]byte, 0, min(max(2*cap(buf), n), limit)), buf...)
+			}
 			buf = append(buf, line...)
 		}
 		line = buf
@@ -140,15 +152,12 @@ func readLineSlice(r *bufio.Reader) ([]byte, error) {
 	return line, nil
 }
 
-// readLine is the allocating (string) variant of readLineSlice, for
-// paths off the hot loop (the client reader, tests).
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := readLineSlice(r)
-	if err != nil {
-		return "", err
-	}
-	return string(line), nil
-}
+// errLineTooLong reports a control line over the reader's cap.
+var errLineTooLong = errors.New("broker: control line too long")
+
+// noLineCap is the line cap of the broker's own readers, which do not
+// bound control lines yet.
+const noLineCap = math.MaxInt
 
 // splitFields splits on runs of spaces and tabs without allocating.
 func splitFields(line []byte, out [][]byte) [][]byte {

@@ -57,6 +57,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -413,17 +414,7 @@ func (s *Server) ListenRoutes(addr string) error {
 	}
 	s.routeLns = append(s.routeLns, ln)
 	s.mu.Unlock()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if s.startClient(conn) == nil {
-				return
-			}
-		}
-	}()
+	go s.acceptLoop(ln)
 	return nil
 }
 
@@ -459,15 +450,45 @@ func (s *Server) Serve(ln net.Listener) {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	s.acceptLoop(ln)
+}
+
+// acceptLoop hands each connection ln accepts to the server until
+// Shutdown or until ln is closed. Temporary errors (EMFILE, ENFILE,
+// ECONNABORTED, or a net.Error that reports Temporary) are retried after
+// a backoff doubling from 5 ms to 1 s, as net/http does, so running out
+// of descriptors for a moment does not stop the listener for good.
+func (s *Server) acceptLoop(ln net.Listener) {
+	var delay time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			return // listener closed by Shutdown
+			if !temporaryAcceptErr(err) {
+				return // listener closed by Shutdown
+			}
+			delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(delay):
+			case <-s.quit:
+				return
+			}
+			continue
 		}
+		delay = 0
 		if s.startClient(conn) == nil {
 			return
 		}
 	}
+}
+
+// temporaryAcceptErr reports whether an Accept error may clear by
+// itself, so the listener is worth retrying.
+func temporaryAcceptErr(err error) bool {
+	if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) || errors.Is(err, syscall.ECONNABORTED) {
+		return true
+	}
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Temporary()
 }
 
 // startClient registers conn and spawns its reader and writer
@@ -903,7 +924,7 @@ func (c *serverClient) run() {
 			// line): route what we have instead of sitting on it.
 			c.flushPubs()
 		}
-		line, err := readLineSlice(c.r)
+		line, err := readLineSlice(c.r, noLineCap)
 		if err != nil {
 			return
 		}

@@ -54,6 +54,12 @@ func drainMsgs(conn net.Conn, out chan<- string) {
 	}
 }
 
+// readLine is the allocating (string) variant of readLineSlice.
+func readLine(r *bufio.Reader) (string, error) {
+	line, err := readLineSlice(r, noLineCap)
+	return string(line), err
+}
+
 func waitSubs(t *testing.T, srv *Server, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
