@@ -26,6 +26,8 @@ race:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecode$$ -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run NONE -fuzz FuzzDecodeRepair -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run NONE -fuzz FuzzDecodeNak -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzDecodeSymbol -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run NONE -fuzz FuzzFountDecode -fuzztime $(FUZZTIME) ./internal/transport/fountcast
@@ -43,9 +45,11 @@ fuzz-smoke:
 chaos:
 	$(GO) run ./cmd/adamant-verify -chaos
 
-# bench runs the allocation-sensitive micro benchmarks with allocation
-# counters.
+# bench runs the allocation pins of one emulated run and of Ricochet's
+# repair path, then the allocation-sensitive micro benchmarks with
+# allocation counters.
 bench:
+	$(GO) test -run 'TestEmulatedRunAllocs|TestRepairAllocs' -v ./internal/experiment/ ./internal/transport/ricochet/
 	$(GO) test -bench 'BenchmarkSchedule' -benchmem -run NONE ./internal/sim/
 	$(GO) test -bench 'BenchmarkPacket' -benchmem -run NONE ./internal/wire/
 	$(GO) test -bench 'BenchmarkRunMany|BenchmarkEndToEndSim' -benchmem -benchtime 3x -run NONE .

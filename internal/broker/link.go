@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"net"
 	"strconv"
 )
@@ -155,9 +154,17 @@ func readLineSlice(r *bufio.Reader, limit int) ([]byte, error) {
 // errLineTooLong reports a control line over the reader's cap.
 var errLineTooLong = errors.New("broker: control line too long")
 
-// noLineCap is the line cap of the broker's own readers, which do not
-// bound control lines yet.
-const noLineCap = math.MaxInt
+// readCommand returns the link's next control line, capped at MaxPayload
+// bytes so a peer's unterminated line cannot grow the broker's memory
+// without bound. An over-cap line is answered with -ERR and returned as
+// an error, on which the caller closes the link.
+func (l *link) readCommand() ([]byte, error) {
+	line, err := readLineSlice(l.r, MaxPayload)
+	if errors.Is(err, errLineTooLong) {
+		l.sendErr("control line too long")
+	}
+	return line, err
+}
 
 // splitFields splits on runs of spaces and tabs without allocating.
 func splitFields(line []byte, out [][]byte) [][]byte {

@@ -278,7 +278,7 @@ func (s *Server) routeLoop(r *route) {
 	defer s.teardownRoute(r)
 	var fields [16][]byte
 	for {
-		line, err := readLineSlice(r.ln.r, noLineCap)
+		line, err := r.ln.readCommand()
 		if err != nil {
 			return
 		}

@@ -924,7 +924,7 @@ func (c *serverClient) run() {
 			// line): route what we have instead of sitting on it.
 			c.flushPubs()
 		}
-		line, err := readLineSlice(c.r, noLineCap)
+		line, err := c.readCommand()
 		if err != nil {
 			return
 		}

@@ -56,7 +56,7 @@ func drainMsgs(conn net.Conn, out chan<- string) {
 
 // readLine is the allocating (string) variant of readLineSlice.
 func readLine(r *bufio.Reader) (string, error) {
-	line, err := readLineSlice(r, noLineCap)
+	line, err := readLineSlice(r, MaxPayload)
 	return string(line), err
 }
 

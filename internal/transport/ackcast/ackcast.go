@@ -128,8 +128,8 @@ type Sender struct {
 	mux         *transport.Mux
 	seq         uint64 // highest seq assigned
 	sent        uint64 // highest seq actually sent
-	store       map[uint64]storeEntry
-	hist        []histEntry // resync ring indexed by seq % History
+	store       map[uint64]transport.HistEntry
+	hist        transport.History // resync ring
 	backlog     [][]byte
 	cums        map[wire.NodeID]uint64 // per-receiver cumulative ACK
 	ids         []wire.NodeID          // cums keys in admission order: retransmits must not follow randomized map order, or replays diverge
@@ -138,17 +138,6 @@ type Sender struct {
 	lastMin     uint64
 	stallRounds int
 	closed      bool
-}
-
-type storeEntry struct {
-	sentAt  time.Time
-	payload []byte
-}
-
-type histEntry struct {
-	seq     uint64
-	sentAt  time.Time
-	payload []byte
 }
 
 var _ transport.Sender = (*Sender)(nil)
@@ -170,8 +159,8 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 		seq:     cfg.BaseSeq,
 		sent:    cfg.BaseSeq,
 		lastMin: cfg.BaseSeq,
-		store:   make(map[uint64]storeEntry),
-		hist:    make([]histEntry, opts.History),
+		store:   make(map[uint64]transport.HistEntry),
+		hist:    transport.NewHistory(opts.History),
 		cums:    make(map[wire.NodeID]uint64),
 	}
 	for _, id := range cfg.Receivers() {
@@ -241,8 +230,8 @@ func (s *Sender) pump() {
 		s.backlog = s.backlog[1:]
 		s.sent++
 		now := s.cfg.Env.Now()
-		s.store[s.sent] = storeEntry{sentAt: now, payload: payload}
-		s.hist[s.sent%uint64(len(s.hist))] = histEntry{seq: s.sent, sentAt: now, payload: payload}
+		s.store[s.sent] = transport.HistEntry{Seq: s.sent, SentAt: now, Payload: payload}
+		s.hist.Put(s.sent, now, payload)
 		pkt := &wire.Packet{
 			Type:    wire.TypeData,
 			Src:     s.cfg.Endpoint.Local(),
@@ -308,8 +297,8 @@ func (s *Sender) fireRTO() {
 				Src:     s.cfg.Endpoint.Local(),
 				Stream:  s.cfg.Stream,
 				Seq:     seq,
-				SentAt:  e.sentAt,
-				Payload: e.payload,
+				SentAt:  e.SentAt,
+				Payload: e.Payload,
 			}
 			if err := s.cfg.Endpoint.Unicast(id, retrans); err != nil {
 				break
@@ -323,14 +312,11 @@ func (s *Sender) fireRTO() {
 // entryFor finds a retransmittable copy of seq: the ACK-gated store first,
 // then the resync ring (for packets already acknowledged by the original
 // group but owed to a re-admitted receiver).
-func (s *Sender) entryFor(seq uint64) (storeEntry, bool) {
+func (s *Sender) entryFor(seq uint64) (transport.HistEntry, bool) {
 	if e, ok := s.store[seq]; ok {
 		return e, true
 	}
-	if h := s.hist[seq%uint64(len(s.hist))]; h.seq == seq && seq != 0 {
-		return storeEntry{sentAt: h.sentAt, payload: h.payload}, true
-	}
-	return storeEntry{}, false
+	return s.hist.Get(seq)
 }
 
 // onAck keeps working after Close so the final window drains.
@@ -353,7 +339,7 @@ func (s *Sender) onAck(src wire.NodeID, pkt *wire.Packet) {
 		if body.Cumulative > s.sent || body.Cumulative < s.cfg.BaseSeq {
 			return // bogus: acknowledges the future or another epoch's space
 		}
-		if s.sent-body.Cumulative > uint64(len(s.hist)) {
+		if s.sent-body.Cumulative > uint64(s.hist.Limit()) {
 			return // too far behind the resync ring to ever catch up
 		}
 		s.cums[src] = body.Cumulative

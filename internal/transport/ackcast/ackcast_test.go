@@ -311,3 +311,57 @@ func TestSenderCloseStillDrains(t *testing.T) {
 		t.Errorf("delivered %d/10 after immediate close", got)
 	}
 }
+
+// TestResyncHistoryRetention: with History=H, after 3H/2 publishes that
+// every receiver has acknowledged, a newcomer acknowledging seq-1 is
+// re-admitted and resynced from seq, with the published payload, if and
+// only if seq > published-H — the retention of a fully allocated H-slot
+// ring.
+func TestResyncHistoryRetention(t *testing.T) {
+	for _, hist := range []int{4, 64, 100, 128} {
+		h := newHarness(t, 1, ackcast.Options{History: hist, RTO: 5 * time.Millisecond})
+		published := 3 * hist / 2
+		for i := 0; i < published; i++ {
+			if err := h.sender.Publish([]byte{byte(i), byte(i >> 8)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.k.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(h.delivery[0]); got != published {
+			t.Fatalf("History=%d: receiver delivered %d of %d", hist, got, published)
+		}
+		edge := published - hist
+		for i, s := range []int{1, 2, edge - 1, edge, edge + 1, edge + 2, published - 1, published} {
+			if s < 1 {
+				continue
+			}
+			seq := uint64(s)
+			id := wire.NodeID(100 + i)
+			var got *wire.Packet
+			ep := h.fab.Endpoint(id)
+			ep.SetHandler(func(_ wire.NodeID, pkt *wire.Packet) {
+				if pkt.Type == wire.TypeRetrans && pkt.Seq == seq {
+					got = pkt
+				}
+			})
+			body, err := (&wire.AckBody{Cumulative: seq - 1}).Encode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ep.Unicast(0, &wire.Packet{Type: wire.TypeAck, Src: id, Stream: 1, Payload: body}); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.k.RunFor(20 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if want := seq > uint64(published-hist); (got != nil) != want {
+				t.Fatalf("History=%d, %d published: resync from %d served=%v, want %v", hist, published, seq, got != nil, want)
+			}
+			if got != nil && (got.Payload[0] != byte(seq-1) || got.Payload[1] != byte((seq-1)>>8)) {
+				t.Fatalf("History=%d: seq %d resynced with payload %v", hist, seq, got.Payload)
+			}
+		}
+	}
+}

@@ -168,7 +168,7 @@ type Sender struct {
 	opts   Options
 	mux    *transport.Mux
 	seq    uint64
-	hist   []histEntry // ring buffer indexed by seq % History
+	hist   transport.History
 	arena  transport.Arena
 	hbTmr  env.Timer
 	closed bool
@@ -187,12 +187,6 @@ type retransReq struct {
 	seq uint64
 }
 
-type histEntry struct {
-	seq     uint64
-	sentAt  time.Time
-	payload []byte
-}
-
 var _ transport.Sender = (*Sender)(nil)
 
 // NewSender builds a NAKcast sender on cfg.Endpoint.
@@ -206,7 +200,7 @@ func NewSender(cfg transport.Config, opts Options) (*Sender, error) {
 		opts:   opts,
 		mux:    transport.NewMux(cfg.Endpoint),
 		seq:    cfg.BaseSeq,
-		hist:   make([]histEntry, opts.History),
+		hist:   transport.NewHistory(opts.History),
 		rtqSet: make(map[retransReq]bool),
 	}
 	s.mux.Handle(wire.TypeNak, s.onNak)
@@ -222,7 +216,7 @@ func (s *Sender) Publish(payload []byte) error {
 	s.seq++
 	now := s.cfg.Env.Now()
 	cp := s.arena.Copy(payload)
-	s.hist[s.seq%uint64(len(s.hist))] = histEntry{seq: s.seq, sentAt: now, payload: cp}
+	s.hist.Put(s.seq, now, cp)
 	pkt := &wire.Packet{
 		Type:    wire.TypeData,
 		Src:     s.cfg.Endpoint.Local(),
@@ -301,8 +295,8 @@ func (s *Sender) onNak(src wire.NodeID, pkt *wire.Packet) {
 		}
 		for seq := r.From; seq <= hi && scanned < maxRetransScan; seq++ {
 			scanned++
-			e := s.hist[seq%uint64(len(s.hist))]
-			if e.seq != seq || seq == 0 {
+			e, ok := s.hist.Get(seq)
+			if !ok {
 				continue // evicted from history or bogus
 			}
 			if sent < retransBurst {
@@ -319,15 +313,15 @@ func (s *Sender) onNak(src wire.NodeID, pkt *wire.Packet) {
 
 // retransmit unicasts one history entry to dst, charging the CPU cost. It
 // reports false on endpoint errors (unknown destination).
-func (s *Sender) retransmit(dst wire.NodeID, e histEntry) bool {
+func (s *Sender) retransmit(dst wire.NodeID, e transport.HistEntry) bool {
 	s.cfg.Endpoint.Work(retransWorkPerPkt)
 	retrans := &wire.Packet{
 		Type:    wire.TypeRetrans,
 		Src:     s.cfg.Endpoint.Local(),
 		Stream:  s.cfg.Stream,
-		Seq:     e.seq,
-		SentAt:  e.sentAt, // original publish time: latency stays end-to-end
-		Payload: e.payload,
+		Seq:     e.Seq,
+		SentAt:  e.SentAt, // original publish time: latency stays end-to-end
+		Payload: e.Payload,
 	}
 	return s.cfg.Endpoint.Unicast(dst, retrans) == nil
 }
@@ -356,8 +350,8 @@ func (s *Sender) fireRetrans() {
 		key := s.rtq[0]
 		s.rtq = s.rtq[1:]
 		delete(s.rtqSet, key)
-		e := s.hist[key.seq%uint64(len(s.hist))]
-		if e.seq != key.seq {
+		e, ok := s.hist.Get(key.seq)
+		if !ok {
 			continue // evicted while queued
 		}
 		s.retransmit(key.dst, e)

@@ -447,3 +447,91 @@ func TestManyLossesAllRecovered(t *testing.T) {
 		t.Errorf("receiver 1 Recovered = %d, want 14", st.Recovered)
 	}
 }
+
+// nakProbe is a bare node that NAKs the sender directly and records the
+// retransmissions it gets back, by sequence number.
+type nakProbe struct {
+	ep      *transporttest.Endpoint
+	retrans map[uint64]*wire.Packet
+}
+
+func newNakProbe(h *harness, id wire.NodeID) *nakProbe {
+	p := &nakProbe{ep: h.fab.Endpoint(id), retrans: make(map[uint64]*wire.Packet)}
+	p.ep.SetHandler(func(_ wire.NodeID, pkt *wire.Packet) {
+		if pkt.Type == wire.TypeRetrans {
+			p.retrans[pkt.Seq] = pkt
+		}
+	})
+	return p
+}
+
+func (p *nakProbe) nak(t *testing.T, ranges ...wire.SeqRange) {
+	t.Helper()
+	body, err := (&wire.NakBody{Ranges: ranges}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ep.Unicast(0, &wire.Packet{Type: wire.TypeNak, Src: p.ep.Local(), Stream: 1, Payload: body}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSenderHistoryRetention: with History=H, after 3H/2 publishes a NAK
+// for seq is served, with the published payload, if and only if
+// seq > published-H — the retention of a fully allocated H-slot ring.
+func TestSenderHistoryRetention(t *testing.T) {
+	for _, hist := range []int{4, 64, 100, 128, 1000} {
+		h := newHarness(t, 0, nakcast.Options{History: hist})
+		probe := newNakProbe(h, 9)
+		published := 3 * hist / 2
+		h.publishN(t, published, 0)
+		for seq := uint64(1); seq <= uint64(published); seq++ {
+			probe.nak(t, wire.SeqRange{From: seq, To: seq})
+			if err := h.k.RunFor(5 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			pkt, served := probe.retrans[seq]
+			if want := seq > uint64(published-hist); served != want {
+				t.Fatalf("History=%d, %d published: NAK for %d served=%v, want %v", hist, published, seq, served, want)
+			}
+			if served && string(pkt.Payload) != fmt.Sprintf("sample-%d", seq-1) {
+				t.Fatalf("History=%d: seq %d retransmitted %q", hist, seq, pkt.Payload)
+			}
+		}
+	}
+}
+
+// TestNakDuringHistoryGrowth: a NAK in flight while the sender's ring
+// grows from 64 to 128 slots is answered with the right payloads, and so
+// is one sent after the growth.
+func TestNakDuringHistoryGrowth(t *testing.T) {
+	h := newHarness(t, 0, nakcast.Options{})
+	probe := newNakProbe(h, 9)
+	h.publishN(t, 64, 0)
+	probe.nak(t, wire.SeqRange{From: 1, To: 40}, wire.SeqRange{From: 50, To: 64})
+	// The NAK takes 1ms to arrive; publishing the 65th sample first makes
+	// the ring grow before it is served.
+	for i := 64; i < 70; i++ {
+		if err := h.sender.Publish([]byte(fmt.Sprintf("sample-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.k.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.retrans) != 55 {
+		t.Fatalf("%d retransmissions for a 55-seq NAK", len(probe.retrans))
+	}
+	probe.nak(t, wire.SeqRange{From: 41, To: 70})
+	if err := h.k.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.retrans) != 70 {
+		t.Fatalf("%d of 70 sequences retransmitted", len(probe.retrans))
+	}
+	for seq, pkt := range probe.retrans {
+		if want := fmt.Sprintf("sample-%d", seq-1); string(pkt.Payload) != want {
+			t.Errorf("seq %d retransmitted %q, want %q", seq, pkt.Payload, want)
+		}
+	}
+}

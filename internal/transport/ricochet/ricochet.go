@@ -24,6 +24,7 @@ package ricochet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"adamant/internal/env"
@@ -257,7 +258,18 @@ type Receiver struct {
 	// and lets shifted repairs resolve double losses by cascade.
 	stagger    int
 	flushTimer env.Timer
+	flushFn    func() // r.flush, bound once so arming the timer allocates no closure
 	emitq      transport.EmitQueue
+
+	// Scratch reused across repairs: the repair being built, the repair
+	// being decoded, the held siblings of a decode, and the peer and
+	// target lists of repairTargets. Nothing handed to the endpoint
+	// aliases them.
+	build   wire.Repair
+	decode  wire.Repair
+	held    []*wire.Packet
+	peers   []wire.NodeID
+	targets []wire.NodeID
 
 	stats  transport.ReceiverStats
 	closed bool
@@ -281,6 +293,7 @@ func NewReceiver(cfg transport.Config, opts Options) (*Receiver, error) {
 		stagger:  opts.staggerFor(cfg.Endpoint.Local()),
 	}
 	r.emitq = transport.NewEmitQueue(cfg.Env, cfg.Deliver, &r.closed)
+	r.flushFn = r.flush
 	r.mux.Handle(wire.TypeData, r.onData)
 	r.mux.Handle(wire.TypeRepair, r.onRepair)
 	return r, nil
@@ -340,13 +353,16 @@ func (r *Receiver) armFlush() {
 	if r.flushTimer != nil {
 		r.flushTimer.Stop()
 	}
-	r.flushTimer = r.cfg.Env.After(r.opts.Flush, func() {
-		r.flushTimer = nil
-		if r.closed || len(r.group) == 0 {
-			return
-		}
-		r.emitRepair()
-	})
+	r.flushTimer = r.cfg.Env.After(r.opts.Flush, r.flushFn)
+}
+
+// flush emits the partial group's repair when its age bound expires.
+func (r *Receiver) flush() {
+	r.flushTimer = nil
+	if r.closed || len(r.group) == 0 {
+		return
+	}
+	r.emitRepair()
 }
 
 func (r *Receiver) emitRepair() {
@@ -359,7 +375,8 @@ func (r *Receiver) emitRepair() {
 	if len(peers) == 0 {
 		return
 	}
-	var rep wire.Repair
+	rep := &r.build
+	rep.Reset()
 	var bytes int
 	for _, p := range r.group {
 		rep.AddPacket(p)
@@ -389,30 +406,30 @@ func (r *Receiver) emitRepair() {
 // repairTargets picks C random peer receivers with replacement (the
 // original protocol's random targeting), deduplicated — so a repair may
 // reach fewer than C distinct peers. The resulting imperfect coverage is
-// part of Ricochet's probabilistic reliability.
+// part of Ricochet's probabilistic reliability. The returned slice is
+// scratch, valid until the next call.
 func (r *Receiver) repairTargets() []wire.NodeID {
 	if r.cfg.Receivers == nil {
 		return nil
 	}
-	all := r.cfg.Receivers()
-	peers := make([]wire.NodeID, 0, len(all))
-	for _, id := range all {
+	peers := r.peers[:0]
+	for _, id := range r.cfg.Receivers() {
 		if id != r.cfg.Endpoint.Local() {
 			peers = append(peers, id)
 		}
 	}
+	r.peers = peers
 	if len(peers) <= 1 {
 		return peers
 	}
-	chosen := make(map[wire.NodeID]bool, r.opts.C)
-	targets := make([]wire.NodeID, 0, r.opts.C)
+	targets := r.targets[:0]
 	for i := 0; i < r.opts.C; i++ {
 		id := peers[r.rng.Intn(len(peers))]
-		if !chosen[id] {
-			chosen[id] = true
+		if !slices.Contains(targets, id) {
 			targets = append(targets, id)
 		}
 	}
+	r.targets = targets
 	return targets
 }
 
@@ -420,8 +437,8 @@ func (r *Receiver) onRepair(src wire.NodeID, pkt *wire.Packet) {
 	if r.closed || pkt.Stream != r.cfg.Stream {
 		return
 	}
-	rep, err := wire.DecodeRepair(pkt.Payload)
-	if err != nil {
+	rep := &r.decode
+	if err := wire.DecodeRepairInto(rep, pkt.Payload); err != nil {
 		return
 	}
 	r.cfg.Endpoint.Work(repairRecvWork)
@@ -432,7 +449,7 @@ func (r *Receiver) onRepair(src wire.NodeID, pkt *wire.Packet) {
 		if len(r.pending) >= maxPendingRepairs {
 			r.pending = r.pending[1:]
 		}
-		r.pending = append(r.pending, rep)
+		r.pending = append(r.pending, rep.Clone())
 	}
 	r.decodePending()
 }
@@ -451,7 +468,7 @@ const (
 func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
 	var missingSeq uint64
 	missing := 0
-	held := make([]*wire.Packet, 0, len(rep.Seqs)-1)
+	held := r.held[:0]
 	for _, seq := range rep.Seqs {
 		if p, ok := r.window[seq]; ok {
 			held = append(held, p)
@@ -465,6 +482,7 @@ func (r *Receiver) tryDecode(rep *wire.Repair) decodeResult {
 		missing++
 		missingSeq = seq
 	}
+	r.held = held[:0] // keep the grown buffer; held stays valid until the next call
 	switch missing {
 	case 0:
 		r.stats.RepairsUseless++

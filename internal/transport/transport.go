@@ -302,7 +302,9 @@ func ParseSpec(s string) (Spec, error) {
 	if !strings.HasSuffix(s, ")") {
 		return Spec{}, fmt.Errorf("transport: malformed spec %q: missing ')'", s)
 	}
-	name := s[:open]
+	// Trimmed like the paren-less path, whose canonical String() this
+	// is when there are no params.
+	name := strings.TrimSpace(s[:open])
 	if name == "" {
 		return Spec{}, fmt.Errorf("transport: malformed spec %q: empty name", s)
 	}

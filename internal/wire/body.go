@@ -35,15 +35,19 @@ type Repair struct {
 
 const maxRepairSeqs = 64
 
+// Reset empties the repair, keeping its buffers for reuse.
+func (r *Repair) Reset() {
+	*r = Repair{Seqs: r.Seqs[:0], XORPayload: r.XORPayload[:0]}
+}
+
 // AddPacket folds one data packet into the repair.
 func (r *Repair) AddPacket(p *Packet) {
 	r.Seqs = append(r.Seqs, p.Seq)
 	r.XORSentAt ^= uint64(p.SentAt.UnixNano())
 	r.XORLen ^= uint16(len(p.Payload))
-	if len(p.Payload) > len(r.XORPayload) {
-		grown := make([]byte, len(p.Payload))
-		copy(grown, r.XORPayload)
-		r.XORPayload = grown
+	if n := len(p.Payload) - len(r.XORPayload); n > 0 {
+		// Zero-pad to the longer payload, within spare capacity if any.
+		r.XORPayload = append(r.XORPayload, make([]byte, n)...)
 	}
 	for i, b := range p.Payload {
 		r.XORPayload[i] ^= b
@@ -75,10 +79,26 @@ func (r *Repair) Reconstruct(held []*Packet) (sentAt time.Time, payload []byte, 
 	return time.Unix(0, int64(ts)), buf[:ln], nil
 }
 
-// Encode appends the body encoding to dst.
+// Clone returns a deep copy of the repair.
+func (r *Repair) Clone() *Repair {
+	c := *r
+	c.Seqs = append([]uint64(nil), r.Seqs...)
+	c.XORPayload = append([]byte(nil), r.XORPayload...)
+	return &c
+}
+
+// repairTrailerSize is the size of the fields between a Repair
+// encoding's sequence numbers and its payload: XORSentAt, XORLen and the
+// payload length.
+const repairTrailerSize = 8 + 2 + 2
+
+// Encode appends the body encoding to dst, growing it at most once.
 func (r *Repair) Encode(dst []byte) ([]byte, error) {
 	if len(r.Seqs) == 0 || len(r.Seqs) > maxRepairSeqs {
 		return dst, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, len(r.Seqs))
+	}
+	if need := len(dst) + 1 + 8*len(r.Seqs) + repairTrailerSize + len(r.XORPayload); need > cap(dst) {
+		dst = append(make([]byte, 0, need), dst...)
 	}
 	dst = append(dst, byte(len(r.Seqs)))
 	var b8 [8]byte
@@ -99,34 +119,43 @@ func (r *Repair) Encode(dst []byte) ([]byte, error) {
 
 // DecodeRepair parses a Repair body.
 func DecodeRepair(buf []byte) (*Repair, error) {
+	r := new(Repair)
+	if err := DecodeRepairInto(r, buf); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DecodeRepairInto parses a Repair body into dst, reusing its buffers.
+// On error dst's contents are unspecified.
+func DecodeRepairInto(dst *Repair, buf []byte) error {
 	if len(buf) < 1 {
-		return nil, ErrBodyTruncated
+		return ErrBodyTruncated
 	}
 	n := int(buf[0])
 	if n == 0 || n > maxRepairSeqs {
-		return nil, fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, n)
+		return fmt.Errorf("%w: repair covers %d seqs", ErrBodyInvalid, n)
 	}
-	need := 1 + 8*n + 8 + 2 + 2
-	if len(buf) < need {
-		return nil, ErrBodyTruncated
+	off := 1 + 8*n
+	if len(buf) < off+repairTrailerSize {
+		return ErrBodyTruncated
 	}
-	r := &Repair{Seqs: make([]uint64, n)}
-	off := 1
-	for i := 0; i < n; i++ {
-		r.Seqs[i] = binary.BigEndian.Uint64(buf[off : off+8])
-		off += 8
+	plen := int(binary.BigEndian.Uint16(buf[off+10 : off+12]))
+	if len(buf) < off+repairTrailerSize+plen {
+		return ErrBodyTruncated
 	}
-	r.XORSentAt = binary.BigEndian.Uint64(buf[off : off+8])
-	off += 8
-	r.XORLen = binary.BigEndian.Uint16(buf[off : off+2])
-	off += 2
-	plen := int(binary.BigEndian.Uint16(buf[off : off+2]))
-	off += 2
-	if len(buf) < off+plen {
-		return nil, ErrBodyTruncated
+	if cap(dst.Seqs) < n {
+		dst.Seqs = make([]uint64, n)
 	}
-	r.XORPayload = append([]byte(nil), buf[off:off+plen]...)
-	return r, nil
+	dst.Seqs = dst.Seqs[:n]
+	for i := range dst.Seqs {
+		dst.Seqs[i] = binary.BigEndian.Uint64(buf[1+8*i:])
+	}
+	dst.XORSentAt = binary.BigEndian.Uint64(buf[off : off+8])
+	dst.XORLen = binary.BigEndian.Uint16(buf[off+8 : off+10])
+	off += repairTrailerSize
+	dst.XORPayload = append(dst.XORPayload[:0], buf[off:off+plen]...)
+	return nil
 }
 
 // SeqRange is a half-open-free inclusive range [From, To] of missing

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -38,7 +39,9 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRepair asserts the repair body parser is total.
+// FuzzDecodeRepair asserts the repair body parser is total, and that
+// decoding into a Repair still holding a longer repair leaks none of its
+// bytes: the result equals a fresh DecodeRepair.
 func FuzzDecodeRepair(f *testing.F) {
 	rep := &Repair{Seqs: []uint64{1, 2, 3}, XORSentAt: 9, XORLen: 4, XORPayload: []byte{1, 2, 3, 4}}
 	seed, err := rep.Encode(nil)
@@ -47,13 +50,27 @@ func FuzzDecodeRepair(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{1})
+	f.Add(seed[:len(seed)-2])
+	dirtyPayload := bytes.Repeat([]byte{0xAA}, 300)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRepair(data)
+		dirty := &Repair{Seqs: make([]uint64, maxRepairSeqs), XORSentAt: ^uint64(0), XORLen: 0xFFFF,
+			XORPayload: append([]byte(nil), dirtyPayload...)}
+		for i := range dirty.Seqs {
+			dirty.Seqs[i] = ^uint64(i)
+		}
+		intoErr := DecodeRepairInto(dirty, data)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("DecodeRepair err %v, DecodeRepairInto err %v", err, intoErr)
+		}
 		if err != nil {
 			return
 		}
 		if len(r.Seqs) == 0 || len(r.Seqs) > maxRepairSeqs {
 			t.Fatalf("accepted repair with %d seqs", len(r.Seqs))
+		}
+		if !repairsEqual(dirty, r) {
+			t.Fatalf("decoded into a used repair: %+v, fresh %+v", dirty, r)
 		}
 	})
 }

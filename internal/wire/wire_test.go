@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -332,6 +333,68 @@ func TestRepairBodyErrors(t *testing.T) {
 	if _, err := DecodeRepair([]byte{4, 1, 2}); !errors.Is(err, ErrBodyTruncated) {
 		t.Errorf("short decode err = %v", err)
 	}
+}
+
+// TestRepairReuse: a Repair reset and refilled, or decoded into while
+// holding a longer repair, matches one built or decoded fresh; Encode
+// makes one buffer of exactly the encoded size.
+func TestRepairReuse(t *testing.T) {
+	pkt := func(seq uint64, payload string) *Packet {
+		return &Packet{Seq: seq, SentAt: time.Unix(0, int64(seq)*1000), Payload: []byte(payload)}
+	}
+	long := []*Packet{pkt(1, "a much longer payload than the rest"), pkt(2, "xyz"), pkt(3, "")}
+	short := []*Packet{pkt(7, "ab"), pkt(8, "abcd")}
+
+	var reused, fresh Repair
+	for _, p := range long {
+		reused.AddPacket(p)
+	}
+	longBody, err := reused.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused.Reset()
+	for _, p := range short {
+		reused.AddPacket(p)
+		fresh.AddPacket(p)
+	}
+	if !repairsEqual(&reused, &fresh) {
+		t.Fatalf("refilled repair %+v, fresh %+v", reused, fresh)
+	}
+	body, err := reused.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 8*len(short) + 8 + 2 + 2 + 4; len(body) != want || cap(body) != want {
+		t.Errorf("Encode(nil) gave len %d cap %d, want exactly %d", len(body), cap(body), want)
+	}
+
+	dirty, err := DecodeRepair(longBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeRepairInto(dirty, body); err != nil {
+		t.Fatal(err)
+	}
+	if !repairsEqual(dirty, &fresh) {
+		t.Fatalf("decoded into a used repair: %+v, want %+v", dirty, fresh)
+	}
+	if clone := dirty.Clone(); !repairsEqual(clone, dirty) || &clone.Seqs[0] == &dirty.Seqs[0] || &clone.XORPayload[0] == &dirty.XORPayload[0] {
+		t.Error("Clone is not an equal deep copy")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := DecodeRepairInto(dirty, longBody); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("DecodeRepairInto a warm repair: %.1f allocs, want 0", got)
+	}
+}
+
+// repairsEqual compares repairs by value; nil and empty slices are equal.
+func repairsEqual(a, b *Repair) bool {
+	return slices.Equal(a.Seqs, b.Seqs) && a.XORSentAt == b.XORSentAt &&
+		a.XORLen == b.XORLen && bytes.Equal(a.XORPayload, b.XORPayload)
 }
 
 func TestSymbolBodyRoundTrip(t *testing.T) {
