@@ -100,13 +100,16 @@ func TestFleetOpenLoopFlag(t *testing.T) {
 }
 
 // TestRateSweepWalksLadder smoke-tests the sweep driver: two easy rates
-// on a tiny fleet produce two points with sane fields and no knee.
+// on a tiny fleet produce two points with sane fields and no knee. Each
+// point is the best of three runs, the sweep's own defence against a
+// shared host stalling one short run past the 10% behind-schedule knee.
 func TestRateSweepWalksLadder(t *testing.T) {
 	sw, err := RateSweep(SweepConfig{
 		Base:      Config{Subscribers: 30, Conns: 2, PayloadBytes: 16, Seed: 7},
 		Rates:     []int{200, 400},
 		Seconds:   0.15,
 		KneeP99Ms: 10_000, // unreachable on an idle tiny fleet
+		Repeats:   3,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

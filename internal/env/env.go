@@ -74,8 +74,10 @@ func (s *SimEnv) Kernel() *sim.Kernel { return s.k }
 // Now implements Env.
 func (s *SimEnv) Now() time.Time { return s.k.Now() }
 
-// After implements Env.
-func (s *SimEnv) After(d time.Duration, fn func()) Timer { return simTimer{s.k.After(d, fn)} }
+// After implements Env. The kernel recycles the event once it fires or is
+// stopped; the returned sim.Timer checks the event's sequence number, so a
+// stale Stop is a harmless false.
+func (s *SimEnv) After(d time.Duration, fn func()) Timer { return s.k.After(d, fn) }
 
 // Schedule implements Env through the kernel's pooled fire-and-forget path.
 func (s *SimEnv) Schedule(d time.Duration, fn func()) { s.k.Schedule(d, fn) }
@@ -90,10 +92,6 @@ func (s *SimEnv) Post(fn func()) { s.k.Schedule(0, fn) }
 
 // Rand implements Env.
 func (s *SimEnv) Rand(name string) *rand.Rand { return s.k.Rand(name) }
-
-type simTimer struct{ e *sim.Event }
-
-func (t simTimer) Stop() bool { return t.e.Cancel() }
 
 // LaneEnv adapts one lane of a sim.Sharded engine to the Env interface.
 // The serialization contract holds per lane: the engine never runs two
@@ -127,9 +125,9 @@ func (s *LaneEnv) Kernel() *sim.Kernel { return s.sh.LaneKernel(s.lane) }
 // Now implements Env using the lane-local clock.
 func (s *LaneEnv) Now() time.Time { return s.Kernel().Now() }
 
-// After implements Env.
+// After implements Env on the lane kernel, as SimEnv.After does.
 func (s *LaneEnv) After(d time.Duration, fn func()) Timer {
-	return simTimer{s.Kernel().After(d, fn)}
+	return s.Kernel().After(d, fn)
 }
 
 // Schedule implements Env through the lane kernel's pooled path.

@@ -230,12 +230,15 @@ func FuzzShardedKernel(f *testing.F) {
 			if err != nil {
 				return o, err
 			}
-			pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, 32)}
+			// A fresh packet per send (the network owns it once handed
+			// off; a squeezed receiver may read it long after the next
+			// send). Only the read-only payload is shared.
+			body := make([]byte, 32)
 			var seq uint64
 			var pump func()
 			pump = func() {
 				seq++
-				pkt.Seq = seq
+				pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: seq, Payload: body}
 				if err := n.Sender.Multicast(pkt); err != nil {
 					panic(err)
 				}

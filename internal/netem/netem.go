@@ -537,7 +537,11 @@ func (nd *Node) SetBurstLoss(pGoodToBad, pBadToGood, lossBad float64) {
 func (nd *Node) SetPartitioned(v bool) { nd.partition = v }
 
 // SetHandler registers the receive callback. The handler runs in env
-// callback context; the packet it receives is owned by the handler.
+// callback context. The packet it receives is the very one the sender
+// handed to Unicast or Multicast (see transport.Endpoint): every target of
+// a multicast gets the same pointer, and the sender may still be reading
+// it. The handler may keep it for as long as it likes but must treat the
+// packet and its payload as read-only.
 func (nd *Node) SetHandler(h func(src wire.NodeID, pkt *wire.Packet)) { nd.handler = h }
 
 // Work consumes local CPU: cost is at reference-machine speed and is scaled
@@ -646,10 +650,10 @@ func (nd *Node) transmit(f *inflight, pkt *wire.Packet) error {
 		nd.net.putInflight(f)
 		return err
 	}
-	// Every target receives the same clone pointer, matching the previous
-	// closure-based dispatch.
+	// The packet is the network's from here on (transport.Endpoint's
+	// hand-off rule), so every target receives the sender's pointer.
 	f.src = nd.id
-	f.pkt = pkt.Clone()
+	f.pkt = pkt
 	f.frame = frame
 	nd.env.ScheduleArg(arrival.Sub(nd.env.Now()), deliverInflight, f)
 	return nil
@@ -657,8 +661,8 @@ func (nd *Node) transmit(f *inflight, pkt *wire.Packet) error {
 
 // transmitSharded is the lane-crossing delivery path: one admit on the
 // sending lane, then one cross-lane message per target (every target is on
-// its own lane). All targets share one read-only clone, the same sharing
-// contract the classic multicast path has always imposed. Arrival is at
+// its own lane). All targets share the sender's packet, read-only under
+// the hand-off rule, exactly as on the classic path. Arrival is at
 // least PropDelay >= lookahead in the future, satisfying the engine's
 // conservative send bound. target == nil means multicast to all others.
 func (nd *Node) transmitSharded(pkt *wire.Packet, target *Node) error {
@@ -666,14 +670,13 @@ func (nd *Node) transmitSharded(pkt *wire.Packet, target *Node) error {
 	if err != nil || !ok {
 		return err
 	}
-	clone := pkt.Clone()
 	if target != nil {
-		nd.sendLane(target, clone, frame, arrival)
+		nd.sendLane(target, pkt, frame, arrival)
 		return nil
 	}
 	for _, t := range nd.net.nodes {
 		if t.id != nd.id {
-			nd.sendLane(t, clone, frame, arrival)
+			nd.sendLane(t, pkt, frame, arrival)
 		}
 	}
 	return nil

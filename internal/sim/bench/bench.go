@@ -196,7 +196,7 @@ type hopFlow struct {
 	rng     *splitmix64
 	fired   *uint64
 	target  uint64
-	timer   *sim.Event
+	timer   sim.Timer
 	packets int
 }
 
@@ -230,9 +230,7 @@ func hopCPUDone(a any) {
 	}
 	f.packets++
 	if f.packets%hopTimerRearm == 0 {
-		if f.timer != nil {
-			f.timer.Cancel()
-		}
+		f.timer.Stop()
 		f.timer = f.k.After(hopTimerDelay, hopHeartbeat)
 	}
 	f.k.ScheduleArg(jitter(f.rng, hopGapBase, hopGapJit), hopSend, f)
@@ -313,7 +311,7 @@ func NetemPump(nodes int, events uint64, payload int) (Result, error) {
 		}
 	}
 	sender := net.Node(0)
-	pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, payload)}
+	body := make([]byte, payload)
 	var seq uint64
 	var pump func()
 	pump = func() {
@@ -321,8 +319,10 @@ func NetemPump(nodes int, events uint64, payload int) (Result, error) {
 			return
 		}
 		seq++
-		pkt.Seq = seq
-		pkt.SentAt = k.Now()
+		// A fresh packet per send, as a real sender builds one: the
+		// network owns a packet once it is handed to Multicast. The
+		// payload bytes are never written, so every packet shares them.
+		pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: seq, SentAt: k.Now(), Payload: body}
 		if err := sender.Multicast(pkt); err != nil {
 			panic(err)
 		}

@@ -86,7 +86,7 @@ func shardStorm(group, workerCount int, target uint64, payload int) (uint64, uin
 		}
 	}
 	sender := net.Node(0)
-	pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Payload: make([]byte, payload)}
+	body := make([]byte, payload)
 	// Each multicast costs roughly two events per receiver on the sharded
 	// engine (a cross-lane arrival plus a CPU-done dispatch), minus the 5%
 	// the loss model drops before dispatch; size the packet budget from
@@ -99,8 +99,9 @@ func shardStorm(group, workerCount int, target uint64, payload int) (uint64, uin
 			return
 		}
 		seq++
-		pkt.Seq = seq
-		pkt.SentAt = sender.Env().Now()
+		// A fresh packet per send (the network owns it once handed off);
+		// the read-only payload bytes are shared.
+		pkt := &wire.Packet{Type: wire.TypeData, Src: 0, Stream: 1, Seq: seq, SentAt: sender.Env().Now(), Payload: body}
 		if err := sender.Multicast(pkt); err != nil {
 			panic(err)
 		}

@@ -9,10 +9,16 @@ import (
 
 // FuzzKernelOrder is the differential determinism proof for the wheel+heap
 // scheduler: it decodes the fuzz input into a randomized interleaving of
-// At/After/Schedule/ScheduleArg/Cancel/Step operations, replays it through
+// At/After/Schedule/ScheduleArg/Stop/Step operations, replays it through
 // both the current kernel and the preserved container/heap reference queue
 // (refqueue_test.go), and demands bit-identical fire orders, clocks, and
 // pending counts at every step.
+//
+// A Stop may pick any Timer ever issued, so handles are routinely stale:
+// their event fired or was stopped and has since been reused by a later
+// At, After or Schedule. The reference never reuses events, so a stale
+// Stop that touched the new owner would show up as a diverging fire order
+// or count.
 //
 // The delay encoding deliberately straddles the scheduler's internal
 // boundaries: scale 0-1 stays inside the timer wheel's ~16.8 ms horizon,
@@ -33,6 +39,14 @@ func FuzzKernelOrder(f *testing.F) {
 	})
 	// Chained callbacks at zero delay (Post storms).
 	f.Add(bytes.Repeat([]byte{5, 0, 0, 0, 6, 0, 0, 0}, 8))
+	// Pooled timers: a timer fires and Schedule reuses its event, then its
+	// stale handle is stopped; a live timer is stopped and the next
+	// After reuses its event, twice, each followed by a stale Stop.
+	f.Add([]byte{
+		1, 1, 0, 0, 6, 0, 0, 0, 3, 2, 0, 0, 1, 3, 0, 0,
+		7, 0, 0, 0, 7, 1, 0, 0, 1, 4, 0, 0, 7, 2, 0, 0,
+		1, 4, 0, 0, 7, 2, 0, 0, 7, 3, 0, 0, 6, 0, 0, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
@@ -41,7 +55,7 @@ func FuzzKernelOrder(f *testing.F) {
 		k := New(1)
 		r := newRefKernel()
 		var gotK, gotR []uint64
-		var handlesK []*Event
+		var handlesK []Timer
 		var handlesR []*refEvent
 		nextID := uint64(0)
 
@@ -94,14 +108,14 @@ func FuzzKernelOrder(f *testing.F) {
 				if sk != sr {
 					t.Fatalf("op %d: Step() = %v (kernel) vs %v (reference)", i/4, sk, sr)
 				}
-			case 7: // Cancel a pseudo-random handle
+			case 7: // Stop a pseudo-random handle
 				if len(handlesK) == 0 {
 					continue
 				}
 				j := int(binary.LittleEndian.Uint16(data[i+1:i+3])) % len(handlesK)
-				ck, cr := handlesK[j].Cancel(), handlesR[j].Cancel()
+				ck, cr := handlesK[j].Stop(), handlesR[j].Cancel()
 				if ck != cr {
-					t.Fatalf("op %d: Cancel(%d) = %v (kernel) vs %v (reference)", i/4, j, ck, cr)
+					t.Fatalf("op %d: Stop(%d) = %v (kernel) vs %v (reference)", i/4, j, ck, cr)
 				}
 			}
 			if k.Pending() != r.Pending() {

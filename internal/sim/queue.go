@@ -35,7 +35,7 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// Event location tags stored in Event.where. Non-negative values are wheel
+// Event location tags stored in event.where. Non-negative values are wheel
 // slot numbers.
 const (
 	locNone int32 = -1
@@ -44,7 +44,7 @@ const (
 )
 
 // evLess is the scheduler's total order: time, then FIFO by sequence.
-func evLess(a, b *Event) bool {
+func evLess(a, b *event) bool {
 	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
 }
 
@@ -53,11 +53,11 @@ func evLess(a, b *Event) bool {
 // keys instead of going through heap.Interface with any-boxed Push/Pop.
 // Each event records its heap index so Cancel stays O(log n).
 type evHeap struct {
-	ev  []*Event
-	loc int32 // stamped into Event.where on insert (locCur or locFar)
+	ev  []*event
+	loc int32 // stamped into event.where on insert (locCur or locFar)
 }
 
-func (h *evHeap) push(e *Event) {
+func (h *evHeap) push(e *event) {
 	e.where = h.loc
 	i := len(h.ev)
 	h.ev = append(h.ev, e)
@@ -65,7 +65,7 @@ func (h *evHeap) push(e *Event) {
 }
 
 // up sifts e toward the root from position i, moving blockers down.
-func (h *evHeap) up(i int, e *Event) {
+func (h *evHeap) up(i int, e *event) {
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !evLess(e, h.ev[p]) {
@@ -80,7 +80,7 @@ func (h *evHeap) up(i int, e *Event) {
 }
 
 // down sifts e toward the leaves from position i.
-func (h *evHeap) down(i int, e *Event) {
+func (h *evHeap) down(i int, e *event) {
 	n := len(h.ev)
 	for {
 		c := i<<2 + 1
@@ -109,7 +109,7 @@ func (h *evHeap) down(i int, e *Event) {
 }
 
 // pop removes and returns the minimum event.
-func (h *evHeap) pop() *Event {
+func (h *evHeap) pop() *event {
 	e := h.ev[0]
 	n := len(h.ev) - 1
 	last := h.ev[n]
@@ -145,13 +145,13 @@ func (h *evHeap) remove(i int32) {
 // into the cur heap — with an occupancy bitmap so finding the next
 // non-empty bucket is a handful of word scans instead of a 1024-slot walk.
 type wheel struct {
-	slots   [wheelSlots][]*Event
+	slots   [wheelSlots][]*event
 	bitmap  [wheelWords]uint64
 	count   int
 	curTick int64 // tick of the bucket currently draining through cur
 }
 
-func (w *wheel) insert(e *Event, tn int64) {
+func (w *wheel) insert(e *event, tn int64) {
 	s := int32(tn & wheelMask)
 	e.where = s
 	e.index = int32(len(w.slots[s]))
@@ -161,7 +161,7 @@ func (w *wheel) insert(e *Event, tn int64) {
 }
 
 // remove deletes e from its bucket by swap-with-last: O(1).
-func (w *wheel) remove(e *Event) {
+func (w *wheel) remove(e *event) {
 	s := e.where
 	sl := w.slots[s]
 	n := len(sl) - 1

@@ -71,7 +71,7 @@ func (c *laneCtx) fire() {
 	case 2: // cancel churn through the wheel
 		ev := k.After(time.Duration(1+(r>>12)%5000)*time.Microsecond, c.fire)
 		if r%10 == 2 {
-			ev.Cancel()
+			ev.Stop()
 			k.Schedule(time.Duration((r>>20)%800)*time.Microsecond, c.fire)
 		}
 	case 3: // far-horizon timer
@@ -154,7 +154,7 @@ func TestShardedWorkerWidthInvariance(t *testing.T) {
 // trace.
 func TestShardedSingleLaneMatchesKernel(t *testing.T) {
 	const budget = 2000
-	run := func(schedule func(d time.Duration, fn func()), after func(d time.Duration, fn func()) *Event,
+	run := func(schedule func(d time.Duration, fn func()), after func(d time.Duration, fn func()) Timer,
 		now func() time.Time, sendSelf func(at time.Time, fn func())) *[]shardEnt {
 		rng := splitmixTest{state: 99}
 		trace := new([]shardEnt)
@@ -175,7 +175,7 @@ func TestShardedSingleLaneMatchesKernel(t *testing.T) {
 			case 2:
 				ev := after(time.Duration(1+(r>>12)%5000)*time.Microsecond, fire)
 				if r%10 == 2 {
-					ev.Cancel()
+					ev.Stop()
 					schedule(time.Duration((r>>20)%800)*time.Microsecond, fire)
 				}
 			case 3:

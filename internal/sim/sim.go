@@ -32,9 +32,11 @@ import (
 // wall-clock and simulated time.
 var Epoch = time.Date(2010, time.November, 29, 0, 0, 0, 0, time.UTC)
 
-// Event is a scheduled callback. The zero value is not useful; events are
-// created by Kernel.At and Kernel.After.
-type Event struct {
+// event is a scheduled callback. Every event comes from the kernel's free
+// list and goes back to it once it fires or is stopped, so the only handle
+// that escapes to callers is a Timer, which checks the event's sequence
+// number before touching it.
+type event struct {
 	at  time.Time
 	key int64  // at.UnixNano(): the scheduler ordering key
 	seq uint64 // tie-breaker: FIFO among events at the same instant
@@ -47,17 +49,12 @@ type Event struct {
 	owner *Kernel
 	where int32 // container tag: locCur, locFar, or a wheel slot number
 	index int32 // position within the container, -1 once fired or canceled
-	// pooled marks fire-and-forget events created by Schedule/ScheduleArg:
-	// no handle escapes to callers, so the kernel recycles them through its
-	// free list after they fire. Events returned by At/After are never
-	// pooled because a caller may hold the pointer and Cancel it later.
-	pooled bool
 }
 
-// Cancel removes the event from the queue. It returns false if the event
-// already fired or was already canceled. Cancel is idempotent.
-func (e *Event) Cancel() bool {
-	if e == nil || e.index < 0 || (e.fn == nil && e.argFn == nil) {
+// cancel removes the event from the queue. It returns false if the event
+// already fired or was already canceled.
+func (e *event) cancel() bool {
+	if e.index < 0 || (e.fn == nil && e.argFn == nil) {
 		return false
 	}
 	k := e.owner
@@ -75,8 +72,29 @@ func (e *Event) Cancel() bool {
 	return true
 }
 
-// Time returns the virtual time the event is (or was) scheduled for.
-func (e *Event) Time() time.Time { return e.at }
+// Timer is the handle At and After return. The event behind it is pooled:
+// once it fires or is stopped the kernel may hand it to a later event. The
+// handle therefore keeps the sequence number the event was scheduled under,
+// and Stop acts only while the event still carries it, so a stale handle
+// never touches the event's next owner. Sequence numbers are never reused
+// within a kernel, so the check cannot be fooled by a recycled event.
+type Timer struct {
+	e   *event
+	seq uint64
+}
+
+// Stop cancels the timer and returns its event to the kernel's free list.
+// It returns false if the callback already ran, the timer was already
+// stopped, or t is the zero Timer. After Stop returns true the callback
+// never runs.
+func (t Timer) Stop() bool {
+	e := t.e
+	if e == nil || e.seq != t.seq || !e.cancel() {
+		return false
+	}
+	e.owner.recycle(e)
+	return true
+}
 
 // Kernel is a single-threaded discrete-event executor. It is not safe for
 // concurrent use: all scheduling must happen from the driving goroutine or
@@ -92,10 +110,10 @@ type Kernel struct {
 	fired  uint64
 	// maxEvents guards against runaway event loops in tests; 0 = unlimited.
 	maxEvents uint64
-	// free recycles pooled events (see Schedule). Packet-hop simulations
+	// free recycles fired and stopped events. Packet-hop simulations
 	// churn one event per hop, so reuse keeps the workers out of the
 	// allocator on the hot path.
-	free []*Event
+	free []*event
 }
 
 // maxFreeEvents bounds the free list so a scheduling burst cannot pin an
@@ -136,7 +154,7 @@ var ErrEventLimit = errors.New("sim: event limit exceeded")
 // enqueue routes an event to the container matching its tick: current tick
 // (or due now) to the cur heap, within the wheel horizon to a wheel bucket,
 // beyond it to the far heap.
-func (k *Kernel) enqueue(e *Event) {
+func (k *Kernel) enqueue(e *event) {
 	tn := e.key >> tickShift
 	switch {
 	case tn <= k.w.curTick:
@@ -148,9 +166,12 @@ func (k *Kernel) enqueue(e *Event) {
 	}
 }
 
-// At schedules fn to run at virtual time t. Times in the past (before Now)
-// are clamped to Now, preserving causal ordering.
-func (k *Kernel) At(t time.Time, fn func()) *Event {
+// At schedules fn to run at virtual time t and returns a Timer that can
+// stop it. Times in the past (before Now) are clamped to Now, preserving
+// causal ordering. The event is recycled once it fires or is stopped, so
+// code that arms and stops timers (retransmission, flush and heartbeat
+// timers) does not allocate an event per arm once the simulation is warm.
+func (k *Kernel) At(t time.Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback") // programmer error, not runtime condition
 	}
@@ -159,15 +180,18 @@ func (k *Kernel) At(t time.Time, fn func()) *Event {
 		key = k.nowKey
 		t = k.now
 	}
-	e := &Event{at: t, key: key, seq: k.nextID, fn: fn, owner: k}
-	k.nextID++
-	k.enqueue(e)
-	return e
+	e := k.enqueuePooled(key, t, fn, nil, nil)
+	return Timer{e: e, seq: e.seq}
 }
 
-// After schedules fn to run d from now. Negative d is treated as zero.
-func (k *Kernel) After(d time.Duration, fn func()) *Event {
-	return k.At(k.now.Add(d), fn)
+// After schedules fn to run d from now, as At does. Negative d is treated
+// as zero.
+func (k *Kernel) After(d time.Duration, fn func()) Timer {
+	if fn == nil {
+		panic("sim: After called with nil callback")
+	}
+	e := k.schedulePooled(d, fn, nil, nil)
+	return Timer{e: e, seq: e.seq}
 }
 
 // Schedule is the fire-and-forget form of After: fn runs d from now and the
@@ -195,24 +219,40 @@ func (k *Kernel) ScheduleArg(d time.Duration, fn func(arg any), arg any) {
 	k.schedulePooled(d, nil, fn, arg)
 }
 
-func (k *Kernel) schedulePooled(d time.Duration, fn func(), argFn func(any), arg any) {
+func (k *Kernel) schedulePooled(d time.Duration, fn func(), argFn func(any), arg any) *event {
 	if d < 0 {
 		d = 0
 	}
-	var e *Event
+	return k.enqueuePooled(k.nowKey+int64(d), k.now.Add(d), fn, argFn, arg)
+}
+
+// enqueuePooled takes an event from the free list (or allocates one),
+// stamps it with the next sequence number and queues it.
+func (k *Kernel) enqueuePooled(key int64, at time.Time, fn func(), argFn func(any), arg any) *event {
+	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 	} else {
-		e = new(Event)
+		e = &event{owner: k}
 	}
-	*e = Event{
-		at: k.now.Add(d), key: k.nowKey + int64(d), seq: k.nextID,
-		fn: fn, argFn: argFn, arg: arg, owner: k, pooled: true,
-	}
+	// Field by field rather than *e = event{...}: a whole-struct store
+	// goes through the bulk write barrier while the GC is marking, which
+	// on packet-hop workloads cost more than the rest of the insert. A
+	// recycled event already has its owner.
+	e.at, e.key, e.seq = at, key, k.nextID
+	e.fn, e.argFn, e.arg = fn, argFn, arg
 	k.nextID++
 	k.enqueue(e)
+	return e
+}
+
+// recycle returns a fired or canceled event to the free list.
+func (k *Kernel) recycle(e *event) {
+	if len(k.free) < maxFreeEvents {
+		k.free = append(k.free, e)
+	}
 }
 
 // promote drains the earliest occupied wheel bucket into the cur heap when
@@ -235,7 +275,7 @@ func (k *Kernel) promote() {
 }
 
 // popMin removes and returns the (time, seq)-smallest pending event, or nil.
-func (k *Kernel) popMin() *Event {
+func (k *Kernel) popMin() *event {
 	k.promote()
 	switch {
 	case len(k.cur.ev) == 0 && len(k.far.ev) == 0:
@@ -280,9 +320,7 @@ func (k *Kernel) Step() bool {
 	fn, argFn, arg := e.fn, e.argFn, e.arg
 	e.fn, e.argFn, e.arg = nil, nil, nil
 	k.fired++
-	if e.pooled && len(k.free) < maxFreeEvents {
-		k.free = append(k.free, e)
-	}
+	k.recycle(e)
 	if argFn != nil {
 		argFn(arg)
 	} else {

@@ -78,11 +78,14 @@ func TestCancel(t *testing.T) {
 	k := New(1)
 	fired := false
 	e := k.After(time.Millisecond, func() { fired = true })
-	if !e.Cancel() {
-		t.Error("first Cancel returned false")
+	if !e.Stop() {
+		t.Error("first Stop returned false")
 	}
-	if e.Cancel() {
-		t.Error("second Cancel returned true; want idempotent false")
+	if e.Stop() {
+		t.Error("second Stop returned true; want idempotent false")
+	}
+	if len(k.free) != 1 {
+		t.Errorf("free list holds %d events after Stop, want 1", len(k.free))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -98,28 +101,28 @@ func TestCancelAfterFire(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Cancel() {
-		t.Error("Cancel after fire returned true")
+	if e.Stop() {
+		t.Error("Stop after fire returned true")
 	}
 }
 
 func TestCancelNil(t *testing.T) {
-	var e *Event
-	if e.Cancel() {
-		t.Error("nil Cancel returned true")
+	var e Timer
+	if e.Stop() {
+		t.Error("zero Timer Stop returned true")
 	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	k := New(1)
 	var fired []int
-	events := make([]*Event, 20)
+	events := make([]Timer, 20)
 	for i := range events {
 		i := i
 		events[i] = k.After(time.Duration(i)*time.Millisecond, func() { fired = append(fired, i) })
 	}
 	for i := 5; i < 15; i++ {
-		events[i].Cancel()
+		events[i].Stop()
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -287,7 +290,7 @@ func TestScheduleCancelProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := New(seed)
 		fired := map[int]int{}
-		var events []*Event
+		var events []Timer
 		canceled := map[int]bool{}
 		n := 100
 		for i := 0; i < n; i++ {
@@ -296,7 +299,7 @@ func TestScheduleCancelProperty(t *testing.T) {
 				func() { fired[i]++ }))
 			if rng.Intn(3) == 0 && len(events) > 0 {
 				victim := rng.Intn(len(events))
-				if events[victim].Cancel() {
+				if events[victim].Stop() {
 					canceled[victim] = true
 				}
 			}
@@ -360,6 +363,97 @@ func TestScheduleArgAllocationFree(t *testing.T) {
 	}
 }
 
+// TestStaleTimerAfterFireAndReuse: a timer fires, its event is reused by
+// the next pooled schedule, and the old handle's Stop must report false
+// and leave the new owner's event scheduled.
+func TestStaleTimerAfterFireAndReuse(t *testing.T) {
+	k := New(1)
+	old := k.After(time.Millisecond, func() {})
+	k.Step()
+	fired := false
+	k.Schedule(time.Millisecond, func() { fired = true })
+	if len(k.free) != 0 {
+		t.Fatal("the fired event was not reused; the test needs reuse to mean anything")
+	}
+	if old.Stop() {
+		t.Error("stale Stop after fire-and-reuse returned true")
+	}
+	if k.Pending() != 1 {
+		t.Errorf("pending = %d after stale Stop, want 1", k.Pending())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("the reused event was canceled through a stale handle")
+	}
+}
+
+// TestStaleTimerAfterCancelAndReuse: a stopped timer's event is reused by
+// the next timer; stopping the old handle again must report false and
+// leave the new timer armed.
+func TestStaleTimerAfterCancelAndReuse(t *testing.T) {
+	k := New(1)
+	old := k.After(time.Millisecond, func() { t.Error("stopped timer fired") })
+	if !old.Stop() {
+		t.Fatal("Stop returned false")
+	}
+	fired := false
+	next := k.After(time.Millisecond, func() { fired = true })
+	if next.e != old.e {
+		t.Fatal("the stopped event was not reused; the test needs reuse to mean anything")
+	}
+	if old.Stop() {
+		t.Error("stale Stop after cancel-and-reuse returned true")
+	}
+	if k.Pending() != 1 {
+		t.Errorf("pending = %d after stale Stop, want 1", k.Pending())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("the reused event was canceled through a stale handle")
+	}
+}
+
+// TestStaleTimerStopInsideOwnCallback: a callback that stops its own
+// (already firing) timer after scheduling gets false, and the event it
+// scheduled survives.
+func TestStaleTimerStopInsideOwnCallback(t *testing.T) {
+	k := New(1)
+	fired := false
+	var tm Timer
+	tm = k.After(time.Millisecond, func() {
+		k.Schedule(time.Millisecond, func() { fired = true })
+		if tm.Stop() {
+			t.Error("Stop of the firing timer returned true")
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("event scheduled from the callback was canceled")
+	}
+}
+
+// TestTimerAllocationFree: arming and stopping a timer, or letting it
+// fire, does not allocate once the free list is warm.
+func TestTimerAllocationFree(t *testing.T) {
+	k := New(1)
+	fn := func() {}
+	k.After(time.Microsecond, fn).Stop() // warm the free list
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.After(time.Millisecond, fn).Stop()
+		k.After(time.Microsecond, fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("After allocated %.1f times per arm, want 0", allocs)
+	}
+}
+
 // TestWheelHorizonBoundary schedules events just inside, exactly at, and
 // beyond the wheel horizon and checks global fire order across the three
 // internal containers.
@@ -401,16 +495,16 @@ func TestCancelInEveryContainer(t *testing.T) {
 	wheelB := k.After(time.Millisecond, count) // same bucket, swap-remove path
 	far := k.After(horizon+time.Second, count) // far heap
 	keep := k.After(2*time.Millisecond, count) // survives
-	for _, e := range []*Event{cur, wheelA, far} {
-		if !e.Cancel() {
-			t.Fatal("Cancel returned false for a queued event")
+	for _, e := range []Timer{cur, wheelA, far} {
+		if !e.Stop() {
+			t.Fatal("Stop returned false for a queued event")
 		}
-		if e.Cancel() {
-			t.Fatal("second Cancel returned true")
+		if e.Stop() {
+			t.Fatal("second Stop returned true")
 		}
 	}
-	if !wheelB.Cancel() {
-		t.Fatal("Cancel of bucket-mate returned false")
+	if !wheelB.Stop() {
+		t.Fatal("Stop of bucket-mate returned false")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -418,8 +512,8 @@ func TestCancelInEveryContainer(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1 (only the kept event)", fired)
 	}
-	if keep.Cancel() {
-		t.Error("Cancel after fire returned true")
+	if keep.Stop() {
+		t.Error("Stop after fire returned true")
 	}
 }
 

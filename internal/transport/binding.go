@@ -125,6 +125,12 @@ func (r *epochRouter) inject(epoch uint16, src wire.NodeID, pkt *wire.Packet) {
 
 // epochEndpoint is an epoch-scoped view of the endpoint: egress packets are
 // stamped with the epoch, ingress packets were routed to it by that stamp.
+//
+// A protocol may hand one packet to several sends (Ricochet unicasts each
+// repair to up to C peers). After the first send the packet belongs to the
+// network and, on a sharded engine, may already be readable on another
+// lane, so the stamp is written only while the packet does not carry it:
+// a re-sent packet is already stamped and is only read.
 type epochEndpoint struct {
 	parent  *epochRouter
 	epoch   uint16
@@ -137,13 +143,19 @@ func (e *epochEndpoint) Local() wire.NodeID { return e.parent.ep.Local() }
 func (e *epochEndpoint) MTU() int           { return e.parent.ep.MTU() }
 
 func (e *epochEndpoint) Unicast(dst wire.NodeID, pkt *wire.Packet) error {
-	pkt.Epoch = e.epoch
+	e.stamp(pkt)
 	return e.parent.ep.Unicast(dst, pkt)
 }
 
 func (e *epochEndpoint) Multicast(pkt *wire.Packet) error {
-	pkt.Epoch = e.epoch
+	e.stamp(pkt)
 	return e.parent.ep.Multicast(pkt)
+}
+
+func (e *epochEndpoint) stamp(pkt *wire.Packet) {
+	if pkt.Epoch != e.epoch {
+		pkt.Epoch = e.epoch
+	}
 }
 
 func (e *epochEndpoint) Work(cost time.Duration) time.Duration                { return e.parent.ep.Work(cost) }
@@ -597,7 +609,7 @@ func (b *ReceiverBinding) park(src wire.NodeID, pkt *wire.Packet) {
 		b.parkedDrops++
 		return
 	}
-	b.parked = append(b.parked, parkedPacket{src: src, pkt: pkt.Clone()})
+	b.parked = append(b.parked, parkedPacket{src: src, pkt: pkt})
 	b.noteHold()
 }
 

@@ -204,6 +204,13 @@ func crucibleEventLimit(cs CrucibleScenario) uint64 {
 
 // ExecuteCrucible runs one cell to full quiescence and returns the outcome.
 func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
+	return executeCrucible(cs, nil)
+}
+
+// executeCrucible is ExecuteCrucible with an optional wrapper put around
+// every node's endpoint, beneath the whole protocol stack (tests use it to
+// watch every packet that crosses the network).
+func executeCrucible(cs CrucibleScenario, wrap func(transport.Endpoint) transport.Endpoint) (CrucibleOutcome, error) {
 	cs.fillDefaults()
 	if err := cs.Chaos.Validate(); err != nil {
 		return CrucibleOutcome{}, err
@@ -239,6 +246,12 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 		readerNodes[i] = network.AddNode(netem.PC3000)
 		ids[i] = readerNodes[i].Local()
 	}
+	endpoint := func(nd *netem.Node) transport.Endpoint {
+		if wrap == nil {
+			return nd
+		}
+		return wrap(nd)
+	}
 
 	out := CrucibleOutcome{
 		Deliveries: make([][]transport.Delivery, cs.Receivers),
@@ -260,7 +273,7 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	instances := make([]*transport.ReceiverBinding, cs.Receivers)
 	for i := range readerNodes {
 		i := i
-		split := transport.NewSplitter(readerNodes[i])
+		split := transport.NewSplitter(endpoint(readerNodes[i]))
 		ctlMux := transport.NewMux(split.Route(wire.ControlStream))
 		det, err := membership.NewDetector(readerNodes[i].Env(), ctlMux, membership.DetectorOptions{
 			Interval:     cs.Heartbeat,
@@ -298,7 +311,7 @@ func ExecuteCrucible(cs CrucibleScenario) (CrucibleOutcome, error) {
 	senderEnv := senderNode.Env()
 	sender, err := transport.NewSenderBinding(transport.BindingConfig{
 		Config: transport.Config{
-			Env: senderEnv, Endpoint: senderNode, Stream: 1,
+			Env: senderEnv, Endpoint: endpoint(senderNode), Stream: 1,
 			Receivers: transport.StaticReceivers(ids...),
 		},
 		Registry: reg,

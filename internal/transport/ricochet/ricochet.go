@@ -324,11 +324,12 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 		r.stats.Duplicates++
 		return
 	}
-	stored := pkt.Clone()
-	r.store(stored)
+	// The window and the group keep the delivered packet itself: it is
+	// read-only under the endpoint hand-off rule.
+	r.store(pkt)
 	// Per-packet LEC processing consumes CPU; delivery lands when the
 	// CPU is done with it.
-	r.deliverAfter(r.cfg.Endpoint.Work(r.opts.ProcCost), stored, false)
+	r.deliverAfter(r.cfg.Endpoint.Work(r.opts.ProcCost), pkt, false)
 
 	// Accumulate toward the next repair: every R direct receptions emit
 	// one XOR repair to C random peers (lateral error correction). The
@@ -337,7 +338,7 @@ func (r *Receiver) onData(src wire.NodeID, pkt *wire.Packet) {
 	if r.stagger > 0 {
 		r.stagger--
 	} else {
-		r.group = append(r.group, stored)
+		r.group = append(r.group, pkt)
 		if len(r.group) >= r.opts.R {
 			r.emitRepair()
 		} else if len(r.group) == 1 && r.opts.Flush > 0 {

@@ -32,14 +32,24 @@ import (
 //
 // Implementations must invoke the receive handler serially (from env
 // callbacks), never concurrently.
+//
+// Packets are handed off, not copied. A *wire.Packet passed to Unicast or
+// Multicast belongs to the network from then on: the sender never writes
+// it (header or payload bytes) again, though it may keep reading it and may
+// hand the same packet to further sends. A receiver may keep the packet it
+// is handed for as long as it likes, but treats it as read-only: the
+// emulator delivers the sender's own pointer, shared by every target of a
+// multicast. Endpoints over real sockets decode into fresh packets, so the
+// rule costs them nothing.
 type Endpoint interface {
 	// Local returns this endpoint's node ID.
 	Local() wire.NodeID
 	// MTU returns the maximum payload size for a single packet.
 	MTU() int
-	// Unicast sends pkt to one destination.
+	// Unicast sends pkt to one destination, taking ownership of it.
 	Unicast(dst wire.NodeID, pkt *wire.Packet) error
-	// Multicast sends pkt to every other node in the group.
+	// Multicast sends pkt to every other node in the group, taking
+	// ownership of it.
 	Multicast(pkt *wire.Packet) error
 	// Work charges the local CPU with cost at reference-machine speed
 	// (used to model protocol processing such as FEC XOR) and returns the
@@ -53,14 +63,17 @@ type Endpoint interface {
 	// endpoints.
 	ScaleCPU(d time.Duration) time.Duration
 	// SetHandler registers the receive callback. Only one handler is
-	// active; use a Mux to share an endpoint among consumers.
+	// active; use a Mux to share an endpoint among consumers. The handler
+	// must not write to the packets it receives.
 	SetHandler(func(src wire.NodeID, pkt *wire.Packet))
 }
 
 // Delivery is one sample handed to the application by a Receiver.
 type Delivery struct {
-	Stream      wire.StreamID
-	Seq         uint64
+	Stream wire.StreamID
+	Seq    uint64
+	// Payload is read-only: under the endpoint hand-off rule it may be the
+	// sender's own bytes, shared with every other receiver.
 	Payload     []byte
 	SentAt      time.Time
 	DeliveredAt time.Time

@@ -47,10 +47,11 @@ func (f *Fabric) send(from, to wire.NodeID, pkt *wire.Packet) error {
 	if f.Drop != nil && f.Drop(from, to, pkt) {
 		return nil
 	}
-	clone := pkt.Clone()
+	// Like the emulator, the fabric delivers the sender's own packet: it is
+	// the network's once handed off (see transport.Endpoint).
 	f.env.After(f.delay, func() {
 		if dst.handler != nil {
-			dst.handler(from, clone)
+			dst.handler(from, pkt)
 		}
 	})
 	return nil
